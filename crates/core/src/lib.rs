@@ -7,8 +7,9 @@
 //!   in naive and lazy (CELF-style) variants with identical, deterministic
 //!   tie-breaking.
 //! * [`invindex`] / [`bitset`] — the flat data path under the solver: a
-//!   counting-sort CSR inverted index (node → set ids, one arena) and the
-//!   word-packed coverage bitset the CELF loop marks into.
+//!   compact CSR inverted index (node → set ids over the touched nodes
+//!   only, one arena) and the word-packed coverage bitset the CELF loop
+//!   marks into.
 //! * [`alias`] — O(1) weighted sampling (Vose alias method) for the
 //!   weighted root distributions `ps(v, Q)` and `ps(v, w)`.
 //! * [`theta`] — the sample-size bounds: Theorem 1 (RIS), Eqn 6 (WRIS),
@@ -42,7 +43,7 @@ pub mod wris;
 
 pub use bitset::Bitset;
 pub use engine::KbTimEngine;
-pub use invindex::{InvertedIndex, InvertedIndexBuilder, InvertedIndexFiller};
+pub use invindex::{InvertedIndex, InvertedIndexBuilder, InvertedIndexFiller, MergeRun};
 pub use maxcover::{
     greedy_max_cover, greedy_max_cover_batch, greedy_max_cover_inverted, greedy_max_cover_naive,
     MaxCoverResult,

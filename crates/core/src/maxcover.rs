@@ -89,9 +89,13 @@ pub fn greedy_max_cover_inverted(
 /// their exact values concurrently, so any thread count selects the same
 /// seed sequence.
 ///
-/// Coverage marks live in a [`Bitset`] (one bit per set) and the
-/// selected-node marks in a dense `Vec<bool>`, so recounts are pure
-/// slice scans over the CSR arena.
+/// Coverage marks live in a [`Bitset`] (one bit per set). The loop runs
+/// over *positions* in the compact instance's `present` list — heap
+/// entries, selected marks and recounts are all indexed by position, so
+/// no per-run state is sized by the node-id space — and each accepted
+/// seed maps back to its node id through `present`. Positions ascend with node ids, so the
+/// `(gain desc, position asc)` heap order is exactly `(gain desc, id
+/// asc)`.
 pub fn greedy_max_cover_inverted_with(
     inverted: &InvertedIndex,
     num_sets: u64,
@@ -124,15 +128,14 @@ pub fn greedy_max_cover_inverted_until(
 
     let mut covered = Bitset::new(num_sets as usize);
 
-    // Heap of (gain, Reverse(node)): max gain first, then min node id.
-    let mut heap: BinaryHeap<(u64, Reverse<NodeId>)> = inverted
-        .present()
-        .iter()
-        .map(|&node| (inverted.list(node).len() as u64, Reverse(node)))
+    // Heap of (gain, Reverse(position)): max gain first, then min
+    // position — which is min node id, since `present` ascends.
+    let mut heap: BinaryHeap<(u64, Reverse<u32>)> = (0..inverted.len())
+        .map(|pos| (inverted.list_at(pos).len() as u64, Reverse(pos as u32)))
         .collect();
 
     let mut result = MaxCoverResult { seeds: Vec::new(), marginal_gains: Vec::new(), covered: 0 };
-    let mut selected = vec![false; inverted.num_nodes() as usize];
+    let mut selected = vec![false; inverted.len()];
     // Entries refreshed concurrently per stale top: large enough to
     // amortize a fork/join, small enough not to waste recounts near the
     // end of a run. Constant (not thread-derived) so work sizing never
@@ -150,8 +153,8 @@ pub fn greedy_max_cover_inverted_until(
     // fixed distance ahead overlaps those misses with the current
     // probes. The hint is advisory — gains are unchanged for any
     // look-ahead.
-    let recount = |node: NodeId, covered: &Bitset| -> u64 {
-        let list = inverted.list(node);
+    let recount = |pos: u32, covered: &Bitset| -> u64 {
+        let list = inverted.list_at(pos as usize);
         let mut gain = 0u64;
         for (i, &s) in list.iter().enumerate() {
             if let Some(&ahead) = list.get(i + crate::prefetch::COVER_SCAN_AHEAD) {
@@ -166,58 +169,58 @@ pub fn greedy_max_cover_inverted_until(
         if should_stop() {
             return None;
         }
-        let Some(&(stale_gain, Reverse(node))) = heap.peek() else { break };
+        let Some(&(stale_gain, Reverse(pos))) = heap.peek() else { break };
         if stale_gain == 0 {
             break;
         }
         heap.pop();
-        if selected[node as usize] {
+        if selected[pos as usize] {
             continue;
         }
         // Recompute the true current gain.
-        let gain = recount(node, &covered);
+        let gain = recount(pos, &covered);
         if gain == stale_gain {
             // Fresh enough: gains are monotone non-increasing, so nothing
             // else in the heap can beat it; equal-gain entries with smaller
             // node ids would have been popped first (heap orders by
-            // Reverse(node) on ties).
-            result.seeds.push(node);
+            // Reverse(position) on ties).
+            result.seeds.push(inverted.present()[pos as usize]);
             result.marginal_gains.push(gain);
             result.covered += gain;
-            selected[node as usize] = true;
-            for &s in inverted.list(node) {
+            selected[pos as usize] = true;
+            for &s in inverted.list_at(pos as usize) {
                 covered.set(s as usize);
             }
         } else if pool.threads() <= 1 {
-            heap.push((gain, Reverse(node)));
+            heap.push((gain, Reverse(pos)));
         } else {
             // Stale top: refresh a whole batch of potentially-stale keys in
             // parallel while we are at it. Only keys above the refreshed
             // top can shadow it, so refreshing them now saves one
             // pop-recount-push round trip each. The initiating node's
             // exact gain is already in hand — only the others recount.
-            heap.push((gain, Reverse(node)));
-            let mut batch: Vec<NodeId> = Vec::new();
+            heap.push((gain, Reverse(pos)));
+            let mut batch: Vec<u32> = Vec::new();
             while batch.len() + 1 < REFRESH_BATCH {
                 match heap.peek() {
-                    Some(&(g, Reverse(n))) if g > gain => {
+                    Some(&(g, Reverse(p))) if g > gain => {
                         heap.pop();
-                        if !selected[n as usize] {
-                            batch.push(n);
+                        if !selected[p as usize] {
+                            batch.push(p);
                         }
                     }
                     _ => break,
                 }
             }
-            let work: usize = batch.iter().map(|&n| inverted.list(n).len()).sum();
+            let work: usize = batch.iter().map(|&p| inverted.list_at(p as usize).len()).sum();
             let fresh: Vec<u64> = if work < PARALLEL_REFRESH_MIN_WORK {
-                batch.iter().map(|&n| recount(n, &covered)).collect()
+                batch.iter().map(|&p| recount(p, &covered)).collect()
             } else {
                 let covered = &covered;
                 pool.map_shards(batch.len(), |i| recount(batch[i], covered))
             };
-            for (n, g) in batch.into_iter().zip(fresh) {
-                heap.push((g, Reverse(n)));
+            for (p, g) in batch.into_iter().zip(fresh) {
+                heap.push((g, Reverse(p)));
             }
         }
     }

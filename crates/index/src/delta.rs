@@ -237,12 +237,8 @@ impl DeltaSnapshot {
         ctx.check()?;
         let result = self
             .base
-            .merge_budgeted_over(self.meta.num_users, phi_q, &budget, &arena)
-            .and_then(|merged| {
-                let outcome = self.base.query_merged_ctx(&merged, query.k(), ctx);
-                self.base.recycle_merged(merged);
-                outcome
-            });
+            .merge_budgeted(phi_q, &budget, &arena)
+            .and_then(|merged| self.base.query_merged_ctx(&merged, query.k(), ctx));
         self.base.recycle_keywords(arena);
         result
     }

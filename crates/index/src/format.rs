@@ -44,6 +44,7 @@
 
 use crate::IndexError;
 use kbtim_codec::{varint, Codec};
+use kbtim_core::invindex::MergeRun;
 use kbtim_graph::NodeId;
 use kbtim_topics::TopicId;
 
@@ -374,6 +375,14 @@ impl IlCsr {
     /// Exact heap footprint of the three arenas, in bytes.
     pub fn arena_bytes(&self) -> u64 {
         (self.ids.len() * 4 + self.offsets.len() * 4 + self.users.len() * 4) as u64
+    }
+
+    /// This block as one merge run: lists truncated to ids below
+    /// `share`, shifted by `base` (see [`InvertedIndex::merge`]).
+    ///
+    /// [`InvertedIndex::merge`]: kbtim_core::invindex::InvertedIndex::merge
+    pub fn run(&self, share: u64, base: u64) -> MergeRun<'_> {
+        MergeRun { nodes: &self.users, offsets: &self.offsets, ids: &self.ids, share, base }
     }
 
     /// Append every list of `other` after this block's lists, rebasing

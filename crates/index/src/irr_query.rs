@@ -16,7 +16,9 @@
 //!   recomputed (§5.2's second issue); gains shrink monotonically, so a
 //!   stale top that recomputes to the same value is safe to accept;
 //! * a candidate becomes a seed when its score is exact (`COMPLETE`) and
-//!   at least `Σ_w kb[w]`, the best any unseen user could do.
+//!   strictly above `Σ_w kb[w]`, the best any unseen user could do (a
+//!   tie could still go to an unseen user with a smaller id), or once
+//!   every partition is loaded.
 //!
 //! Theorem 3: the seeds' coverage scores equal Algorithm 2's. The
 //! implementation shares its tie-breaking (score desc, node id asc) with
@@ -35,7 +37,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-/// Sentinel for "no value" in the dense per-user tables below.
+/// Sentinel for "no value" in the per-slot tables below.
 const ABSENT: u32 = u32::MAX;
 
 /// Per-keyword NRA state.
@@ -180,10 +182,9 @@ impl KbtimIndex {
 
         // Every per-query table below leases from the scratch pool
         // (cleared or fully overwritten before use, so reuse cannot
-        // affect the answer): the covered bitset, selected flags, the
-        // per-keyword KwBufs, the candidate heap's backing store and the
-        // fresh-candidate staging buffer.
-        let num_users = self.meta().num_users as usize;
+        // affect the answer): the covered bitset, the sorted selected
+        // set, the per-keyword KwBufs, the candidate heap's backing store
+        // and the fresh-candidate staging buffer.
         let mut outer_scratch = self.scratch.guard();
         let QueryScratch { covered, selected, kw_bufs, nra_heap, nra_fresh, bytes_a, .. } =
             &mut *outer_scratch;
@@ -213,7 +214,6 @@ impl KbtimIndex {
 
         covered.reset(theta_q as usize);
         selected.clear();
-        selected.resize(num_users, false);
         let covered: &mut Bitset = covered;
         let mut pq: BinaryHeap<(u64, Reverse<NodeId>)> = BinaryHeap::from(std::mem::take(nra_heap));
         let mut seeds: Vec<NodeId> = Vec::new();
@@ -243,7 +243,7 @@ impl KbtimIndex {
         let load_more = |states: &mut [KwState<'_>],
                          pq: &mut BinaryHeap<(u64, Reverse<NodeId>)>,
                          covered: &Bitset,
-                         selected: &[bool],
+                         selected: &[NodeId],
                          fresh: &mut Vec<NodeId>,
                          rr_sets_loaded: &mut u64,
                          partitions_loaded: &mut u64|
@@ -337,7 +337,7 @@ impl KbtimIndex {
                     st.bufs.list_start[s] = start as u32;
                     st.bufs.list_len[s] = list.len() as u32;
                     st.bufs.arena.extend_from_slice(list);
-                    if !selected[user as usize] {
+                    if selected.binary_search(&user).is_err() {
                         fresh.push(user);
                     }
                 }
@@ -370,7 +370,7 @@ impl KbtimIndex {
             match pq.peek().copied() {
                 Some((s, Reverse(v))) if s > 0 => {
                     pq.pop();
-                    if selected[v as usize] {
+                    if selected.binary_search(&v).is_ok() {
                         continue;
                     }
                     let (s2, complete) = score(v, covered, &states);
@@ -381,9 +381,16 @@ impl KbtimIndex {
                         }
                         continue;
                     }
-                    if complete && s >= total_kb {
+                    // A tie with the unseen bound is not a win: an unseen
+                    // user with a smaller id may still reach `total_kb`
+                    // and must come first under the shared (score desc,
+                    // id asc) order. Accept a strict win, or any exact
+                    // score once every list is loaded (nobody unseen).
+                    let exhausted = states.iter().all(|st| st.loaded >= st.bufs.partitions.len());
+                    if complete && (s > total_kb || exhausted) {
                         // New seed confirmed.
-                        selected[v as usize] = true;
+                        let at = selected.partition_point(|&u| u < v);
+                        selected.insert(at, v);
                         seeds.push(v);
                         marginal_gains.push(s);
                         coverage += s;
@@ -398,9 +405,11 @@ impl KbtimIndex {
                         }
                     } else {
                         // Cannot separate from unseen users yet: reinsert
-                        // and deepen the index scan.
+                        // and deepen the index scan. Once nothing is left
+                        // to load, every list is loaded, so every score is
+                        // exact and the next round accepts.
                         pq.push((s, Reverse(v)));
-                        if !load_more(
+                        let loaded = load_more(
                             &mut states,
                             &mut pq,
                             covered,
@@ -408,16 +417,8 @@ impl KbtimIndex {
                             nra_fresh,
                             &mut rr_sets_loaded,
                             &mut partitions_loaded,
-                        )? && total_kb == 0
-                        {
-                            // Exhausted and still not separable — only
-                            // possible transiently; with kb = 0 the accept
-                            // condition holds on the next iteration for any
-                            // complete candidate. Guard against an
-                            // incomplete candidate surviving exhaustion
-                            // (cannot happen: exhaustion loads every list).
-                            debug_assert!(complete, "incomplete candidate after exhaustion");
-                        }
+                        )?;
+                        debug_assert!(loaded || complete, "incomplete candidate after exhaustion");
                     }
                 }
                 _ => {
@@ -585,6 +586,26 @@ mod tests {
         let rr = index.query_rr(&q).unwrap();
         let irr = index.query_irr(&q).unwrap();
         assert_eq!(rr.seeds, irr.seeds);
+    }
+
+    #[test]
+    fn tie_with_unseen_smaller_id_user_waits_for_its_partition() {
+        // Users 113 and 187 both reach gain 49 for the eighth seed. With
+        // one user per partition, 187's score is exact while 113 still
+        // sits in an unloaded partition and the unseen bound equals 49:
+        // accepting on a tie took 187 first, breaking the (gain desc,
+        // id asc) order Theorem 3's IRR ≡ RR sequence equality needs.
+        let data = dataset(250, 4, 2);
+        let dir = TempDir::new("irrq-tie").unwrap();
+        build_irr(&data, dir.path(), 1);
+        let index = KbtimIndex::open(dir.path(), IoStats::new()).unwrap();
+        let q = Query::new([3], 10);
+        let rr = index.query_rr(&q).unwrap();
+        let irr = index.query_irr(&q).unwrap();
+        assert_eq!(rr.marginal_gains[7], rr.marginal_gains[8], "the instance has the tie");
+        assert_eq!(&rr.seeds[7..9], &[113, 187]);
+        assert_eq!(irr.seeds, rr.seeds);
+        assert_eq!(irr.marginal_gains, rr.marginal_gains);
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! already-resident segment pages* — the decode writes straight from
 //! shared pages into the CSR arenas with no intermediate copy of the
 //! compressed block, and mmap pages stay shared with the disk index and
-//! the kernel cache. Query-time allocations (the merged inverted index)
-//! recycle through a scratch pool, as in the disk paths.
+//! the kernel cache. Queries merge through the same compact k-way merge
+//! as the disk paths, so a query allocates only what that merge needs,
+//! sized by its entries.
 
 use crate::format::{self, IlCsr};
-use crate::scratch::ScratchPool;
+use crate::rr_query::merge_budget;
 use crate::{IndexError, IndexMeta, KbtimIndex, QueryOutcome, QueryStats};
-use kbtim_core::invindex::InvertedIndexBuilder;
 use kbtim_core::maxcover::greedy_max_cover_inverted;
 use kbtim_topics::Query;
 use std::time::Instant;
@@ -36,8 +36,6 @@ struct MemKeyword {
 pub struct MemoryIndex {
     meta: IndexMeta,
     keywords: Vec<Option<MemKeyword>>,
-    /// Recycled merged-index arenas (see [`crate::scratch`]).
-    scratch: ScratchPool,
 }
 
 impl MemoryIndex {
@@ -70,7 +68,7 @@ impl MemoryIndex {
             }
             keywords.push(Some(MemKeyword { il }));
         }
-        Ok(MemoryIndex { meta, keywords, scratch: ScratchPool::new() })
+        Ok(MemoryIndex { meta, keywords })
     }
 
     /// The catalog this index was loaded from.
@@ -103,39 +101,15 @@ impl MemoryIndex {
             };
         }
 
-        // Two flat passes over the resident CSRs: count each user's
-        // truncated contribution, then fill the dense merged instance.
-        // Keyword order makes per-user global ids ascend, as in the disk
-        // path. Arenas recycle from the previous query via the pool.
-        let mut builder =
-            InvertedIndexBuilder::recycled(self.meta.num_users, self.scratch.take_arenas());
-        let mut theta_q = 0u64;
-        for &(topic, share) in &budget {
+        // The disk paths' merge over the resident CSRs: keyword order
+        // makes per-user global ids ascend, and the instance covers the
+        // touched users only.
+        let (theta_q, inverted) = merge_budget(&budget, |i| {
+            let topic = budget[i].0;
             let kw = self.keywords[topic as usize].as_ref().expect("budgeted keyword loaded");
-            for j in 0..kw.il.len() {
-                let cut = kw.il.list(j).partition_point(|&id| (id as u64) < share);
-                builder.count(kw.il.users[j], cut as u32);
-            }
-            theta_q += share;
-        }
-        let mut filler = builder.fill();
-        let mut base = 0u64;
-        for &(topic, share) in &budget {
-            let kw = self.keywords[topic as usize].as_ref().expect("budgeted keyword loaded");
-            for j in 0..kw.il.len() {
-                let list = kw.il.list(j);
-                let cut = list.partition_point(|&id| (id as u64) < share);
-                filler.push_list(
-                    kw.il.users[j],
-                    list[..cut].iter().map(|&id| (base + id as u64) as u32),
-                );
-            }
-            base += share;
-        }
-        debug_assert_eq!(base, theta_q);
-        let inverted = filler.finish();
+            std::slice::from_ref(&kw.il)
+        });
         let cover = greedy_max_cover_inverted(&inverted, theta_q, query.k());
-        self.scratch.put_arenas(inverted.into_arenas());
         let estimated_influence =
             if theta_q == 0 { 0.0 } else { cover.covered as f64 / theta_q as f64 * phi_q };
         QueryOutcome {

@@ -19,17 +19,20 @@
 //! The whole data path is flat and zero-copy: block bytes arrive as
 //! borrowed [`kbtim_storage::BlockSource`] views (or through pooled
 //! staging buffers on the file backend), each keyword's `L_w` decodes
-//! straight into a pooled [`format::IlCsr`] arena, the
-//! truncated/remapped per-keyword lists stay CSR, and the merged
-//! instance is a dense [`InvertedIndex`] built by one counting pass and
-//! one fill pass over recycled arenas — no per-user allocation, no hash
-//! probes in the greedy loop, and ~zero allocation once the scratch
-//! pool is warm.
+//! straight into a pooled [`format::IlCsr`] arena, and one merge
+//! function ([`InvertedIndex::merge`] under the query's budget) k-way
+//! merges those sorted CSRs — truncated to each keyword's share
+//! and shifted into the global id space on the fly — into a compact
+//! [`InvertedIndex`] over the touched users only. Every serving path
+//! (per-request, batched, delta, in-memory) merges through it, so a
+//! query's merge and greedy cost follows its decoded entries, never
+//! `|V|`: no per-user allocation, no table sized by the user space, no
+//! hash probes in the greedy loop.
 
 use crate::format::{self, IlCsr};
 use crate::scratch::{KeywordArena, QueryScratch};
 use crate::{IndexError, KbtimIndex, QueryCtx, QueryOutcome, QueryStats};
-use kbtim_core::invindex::{InvertedIndex, InvertedIndexBuilder};
+use kbtim_core::invindex::InvertedIndex;
 use kbtim_core::maxcover::greedy_max_cover_inverted_until;
 use kbtim_topics::{Query, TopicId};
 use std::time::Instant;
@@ -58,15 +61,6 @@ impl KbtimIndex {
         }
 
         let codec = self.meta().codec;
-        // Global id base of each keyword's RR prefix (prefix sums of the
-        // shares) — fixed up front so keyword scans are independent.
-        let mut bases = Vec::with_capacity(budget.len());
-        let mut base = 0u64;
-        for &(_, share) in &budget {
-            bases.push(base);
-            base += share;
-        }
-        let theta_q = base;
 
         // Scatter-gather: one job per (keyword × shard), keyword-major,
         // so gathering in job order is "for each keyword, for each shard
@@ -83,7 +77,6 @@ impl KbtimIndex {
             |guard, i| {
                 let s: &mut QueryScratch = &mut *guard;
                 let (topic, share) = budget[i / num_shards];
-                let base = bases[i / num_shards];
                 let source = self.source_in(i % num_shards, topic)?;
 
                 // Prefix of the offset table → byte length of the RR prefix.
@@ -105,35 +98,25 @@ impl KbtimIndex {
                 )?;
                 debug_assert_eq!(s.rr_ends.len() as u64, share + 1);
 
-                // Whole L_w decoded into one pooled CSR arena, then
-                // truncated to the prefix and remapped to global ids —
-                // still flat, into a pooled output CSR.
+                // Whole L_w decoded into one pooled CSR arena; the merge
+                // truncates it to the prefix and shifts it into the
+                // global id space as it reads.
                 let il_bytes = source.read_block_in(format::IL_BLOCK, &mut s.bytes_b)?;
-                format::decode_il_csr_into(il_bytes, codec, &mut s.il)?;
-                let full = &s.il;
-                let mut remapped = self.scratch.take_csr();
-                for j in 0..full.len() {
-                    let list = full.list(j);
-                    let cut = list.partition_point(|&id| (id as u64) < share);
-                    if cut == 0 {
-                        continue;
-                    }
-                    remapped.ids.extend(list[..cut].iter().map(|&id| (base + id as u64) as u32));
-                    remapped.close_list(full.users[j]);
-                }
+                let mut csr = self.scratch.take_csr();
+                format::decode_il_csr_into(il_bytes, codec, &mut csr)?;
                 // θ^Q_w logical sets load once per keyword, fragmented
                 // across the shards — charge the count to one job so
                 // `rr_sets_loaded == θ^Q` for every shard count.
-                Ok((remapped, if i % num_shards == 0 { share } else { 0 }))
+                Ok((csr, if i % num_shards == 0 { share } else { 0 }))
             },
         );
 
         let mut keyword_csrs = Vec::with_capacity(scans.len());
         let mut rr_sets_loaded = 0u64;
         for scan in scans {
-            let (remapped, share) = scan?;
+            let (csr, share) = scan?;
             rr_sets_loaded += share;
-            keyword_csrs.push(remapped);
+            keyword_csrs.push(csr);
         }
 
         // Early aborts past this point hand the leased CSRs back so the
@@ -152,34 +135,17 @@ impl KbtimIndex {
             return Err(IndexError::Injected("engine.merge"));
         }
 
-        // Merge in keyword order: per-user lists concatenate with
-        // ascending global ids, exactly as the old hash-map merge did —
-        // but via one counting pass and one fill pass over dense arrays
-        // recycled from the previous query.
-        let mut builder =
-            InvertedIndexBuilder::recycled(self.meta().num_users, self.scratch.take_arenas());
-        for csr in &keyword_csrs {
-            for j in 0..csr.len() {
-                builder.count(csr.users[j], csr.list(j).len() as u32);
-            }
-        }
-        let mut filler = builder.fill();
-        for csr in &keyword_csrs {
-            for j in 0..csr.len() {
-                filler.push_list(csr.users[j], csr.list(j).iter().copied());
-            }
-        }
-        let inverted: InvertedIndex = filler.finish();
+        // Keyword-major jobs hand each keyword its shard pieces in shard
+        // order, exactly the runs the merge expects.
+        let (theta_q, inverted) =
+            merge_budget(&budget, |i| &keyword_csrs[i * num_shards..(i + 1) * num_shards]);
+        recycle(keyword_csrs);
 
         if kbtim_fault::inject("engine.greedy") {
-            self.scratch.put_arenas(inverted.into_arenas());
-            recycle(keyword_csrs);
             return Err(IndexError::Injected("engine.greedy"));
         }
         let cover =
             greedy_max_cover_inverted_until(&inverted, theta_q, query.k(), pool, &|| ctx.expired());
-        self.scratch.put_arenas(inverted.into_arenas());
-        recycle(keyword_csrs);
         let Some(cover) = cover else {
             return Err(IndexError::DeadlineExceeded);
         };
@@ -320,12 +286,11 @@ impl KbtimIndex {
     /// merged [`InvertedIndex`] are all functions of `query.topics()` —
     /// `Q.k` only bounds the greedy loop — so batched requests sharing
     /// a keyword set share one [`MergedQuery`] and differ only in their
-    /// [`KbtimIndex::query_merged`] call. The two flat passes here (the
-    /// `MemoryIndex` merge, against a per-batch arena) truncate each
-    /// keyword's full CSR to its `θ^Q_w` share and remap into the
-    /// query's global id space in keyword order, producing an instance
-    /// bit-identical to the per-request path's remapped-CSR
-    /// concatenation.
+    /// [`KbtimIndex::query_merged`] call. The merge is the one every
+    /// serving path runs (each keyword's full CSR truncated to its
+    /// `θ^Q_w` share and shifted into the query's global id space, in
+    /// keyword order), so the instance is bit-identical to the
+    /// per-request path's.
     pub fn merge_keywords(
         &self,
         query: &Query,
@@ -337,23 +302,11 @@ impl KbtimIndex {
 
     /// [`KbtimIndex::merge_keywords`] with the Eqn-11 budget already
     /// computed — the batch planner derives each group's budget while
-    /// building the decode union and must not pay for it twice.
+    /// building the decode union and must not pay for it twice, and the
+    /// delta tier merges its union arena (base segments plus in-memory
+    /// overlays) through here too.
     pub(crate) fn merge_budgeted(
         &self,
-        phi_q: f64,
-        budget: &[(TopicId, u64)],
-        arena: &KeywordArena,
-    ) -> Result<MergedQuery, IndexError> {
-        self.merge_budgeted_over(self.meta().num_users, phi_q, budget, arena)
-    }
-
-    /// [`KbtimIndex::merge_budgeted`] over an explicit user universe —
-    /// the delta tier unions in-memory keyword overlays with this
-    /// index's segments, and the union's `|V|` (base plus ingested
-    /// users) sizes the merged instance, not the catalog's.
-    pub(crate) fn merge_budgeted_over(
-        &self,
-        num_users: u32,
         phi_q: f64,
         budget: &[(TopicId, u64)],
         arena: &KeywordArena,
@@ -361,34 +314,7 @@ impl KbtimIndex {
         if kbtim_fault::inject("engine.merge") {
             return Err(IndexError::Injected("engine.merge"));
         }
-        let mut builder = InvertedIndexBuilder::recycled(num_users, self.scratch.take_arenas());
-        let mut theta_q = 0u64;
-        for &(topic, share) in budget {
-            let il = arena.csr(topic).ok_or_else(|| {
-                IndexError::Corrupt(format!("keyword {topic} missing from the batch arena"))
-            })?;
-            for j in 0..il.len() {
-                let cut = il.list(j).partition_point(|&id| (id as u64) < share);
-                builder.count(il.users[j], cut as u32);
-            }
-            theta_q += share;
-        }
-        let mut filler = builder.fill();
-        let mut base = 0u64;
-        for &(topic, share) in budget {
-            let il = arena.csr(topic).expect("presence checked in the count pass");
-            for j in 0..il.len() {
-                let list = il.list(j);
-                let cut = list.partition_point(|&id| (id as u64) < share);
-                filler.push_list(
-                    il.users[j],
-                    list[..cut].iter().map(|&id| (base + id as u64) as u32),
-                );
-            }
-            base += share;
-        }
-        debug_assert_eq!(base, theta_q);
-        Ok(MergedQuery { phi_q, theta_q, inverted: filler.finish() })
+        MergedQuery::from_arena(phi_q, budget, arena)
     }
 
     /// Run one request's own greedy over a shared [`MergedQuery`]
@@ -452,9 +378,12 @@ impl KbtimIndex {
         })
     }
 
-    /// Return a finished [`MergedQuery`]'s arenas to the scratch pool.
+    /// Release a finished [`MergedQuery`]. Merged instances are
+    /// allocated at their exact size and are not pooled, so this is a
+    /// drop; it stays as the counterpart of
+    /// [`KbtimIndex::merge_keywords`] for callers that pair the two.
     pub fn recycle_merged(&self, merged: MergedQuery) {
-        self.scratch.put_arenas(merged.inverted.into_arenas());
+        drop(merged);
     }
 
     /// Algorithm 2 served from a batch's shared [`KeywordArena`] instead
@@ -473,9 +402,7 @@ impl KbtimIndex {
         arena: &KeywordArena,
     ) -> Result<QueryOutcome, IndexError> {
         let merged = self.merge_keywords(query, arena)?;
-        let outcome = self.query_merged(&merged, query.k());
-        self.recycle_merged(merged);
-        Ok(outcome)
+        Ok(self.query_merged(&merged, query.k()))
     }
 }
 
@@ -491,13 +418,32 @@ pub struct MergedQuery {
 }
 
 impl MergedQuery {
+    /// Merge a batch arena's keywords under an Eqn-11 budget (no
+    /// failpoint; see [`KbtimIndex::merge_keywords`] for the public
+    /// entry).
+    pub(crate) fn from_arena(
+        phi_q: f64,
+        budget: &[(TopicId, u64)],
+        arena: &KeywordArena,
+    ) -> Result<MergedQuery, IndexError> {
+        let mut pieces = Vec::with_capacity(budget.len());
+        for &(topic, _) in budget {
+            pieces.push(arena.csr(topic).ok_or_else(|| {
+                IndexError::Corrupt(format!("keyword {topic} missing from the batch arena"))
+            })?);
+        }
+        let (theta_q, inverted) = merge_budget(budget, |i| std::slice::from_ref(pieces[i]));
+        Ok(MergedQuery { phi_q, theta_q, inverted })
+    }
+
     /// The merged instance's total RR-set budget `θ^Q`.
     pub fn theta_q(&self) -> u64 {
         self.theta_q
     }
 
-    /// Heap bytes held by the merged instance's arenas — what a cached
-    /// prepared query keeps resident.
+    /// Heap bytes held by the merged instance's arenas (their
+    /// capacities) — what a cached prepared query keeps resident. Grows
+    /// with the merged entries and touched users, never with `|V|`.
     pub fn resident_bytes(&self) -> u64 {
         self.inverted.arena_bytes()
     }
@@ -536,6 +482,26 @@ impl MergedQuery {
             },
         }
     }
+}
+
+/// Algorithm 2's merge, shared by every serving path: keyword `i` of
+/// `budget` contributes the decoded `L_w` pieces `pieces(i)` (its
+/// shards' CSRs in shard order, or one whole CSR), each truncated to the
+/// keyword's share `θ^Q_w` and shifted by the keyword's global id base
+/// (the prefix sum of the earlier shares). Returns `θ^Q` and the compact
+/// merged instance; per-user lists concatenate in keyword order, so
+/// global ids ascend.
+pub(crate) fn merge_budget<'a>(
+    budget: &[(TopicId, u64)],
+    pieces: impl Fn(usize) -> &'a [IlCsr],
+) -> (u64, InvertedIndex) {
+    let mut runs = Vec::with_capacity(budget.len());
+    let mut base = 0u64;
+    for (i, &(_, share)) in budget.iter().enumerate() {
+        runs.extend(pieces(i).iter().map(|csr| csr.run(share, base)));
+        base += share;
+    }
+    (base, InvertedIndex::merge(&runs))
 }
 
 pub(crate) fn empty_outcome(started: Instant) -> QueryOutcome {
@@ -686,6 +652,43 @@ mod tests {
         let (phi_q, budget) = index.query_budget(&Query::new([0], 4));
         assert!(phi_q > 0.0);
         assert_eq!(budget.len(), 1);
+    }
+
+    #[test]
+    fn merged_memory_is_independent_of_the_user_space() {
+        use crate::format::IlCsr;
+        use crate::rr_query::MergedQuery;
+        use crate::scratch::KeywordArena;
+
+        // Two keywords' L_w over 600 users — once with ids inside a
+        // 1k-user space, once spread over a 10M-user space. The merge
+        // takes no user count at all; only the ids differ.
+        let arena_over = |spread: u32| {
+            let mut arena = KeywordArena::default();
+            for topic in 0..2u32 {
+                let mut csr = IlCsr::default();
+                for u in (0..600u32).filter(|u| (u + topic) % 3 != 0) {
+                    csr.ids.extend((0..1 + u % 3).map(|i| u % 150 + i * 150 + topic));
+                    csr.close_list(u * spread);
+                }
+                arena.topics.push(topic);
+                arena.csrs.push(csr);
+            }
+            arena
+        };
+        let budget = [(0, 300), (1, 250)];
+        let small = MergedQuery::from_arena(1.0, &budget, &arena_over(1)).unwrap();
+        let wide = MergedQuery::from_arena(1.0, &budget, &arena_over(16_000)).unwrap();
+
+        assert_eq!(small.theta_q(), wide.theta_q());
+        assert_eq!(small.resident_bytes(), wide.resident_bytes());
+        let (entries, users) = (small.inverted.total_entries(), small.inverted.len());
+        assert_eq!(entries, wide.inverted.total_entries());
+        assert!(entries > 0 && users > 0);
+        // Exact-size arenas: ids, offsets (users + 1) and users, 4 B each
+        // — at most 12 B per entry, whatever |V| is.
+        assert_eq!(small.resident_bytes(), 4 * (entries + 2 * users + 1) as u64);
+        assert!(small.resident_bytes() <= 12 * entries as u64 + 4);
     }
 
     #[test]

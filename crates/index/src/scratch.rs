@@ -2,9 +2,11 @@
 //!
 //! The serving tier's steady state answers the same shapes of query over
 //! and over; before this pool every query re-allocated its byte staging
-//! buffers, per-keyword CSR arenas, the merged inverted index, and the
-//! covered bitset. `ScratchPool` keeps those allocations alive between
-//! queries so a warmed index allocates ~nothing per query.
+//! buffers, per-keyword CSR arenas and the covered bitset. `ScratchPool`
+//! keeps those allocations alive between queries, so a warmed index
+//! allocates little per query beyond its merge: the merge's working
+//! arrays and the merged instance, both sized by the query's entries,
+//! not by `|V|`.
 //!
 //! Why a lock-based pool and not `thread_local!`: scratch must flow
 //! across threads. [`kbtim_exec::ExecPool`] workers (persistent or
@@ -139,8 +141,9 @@ pub struct QueryScratch {
     pub(crate) ir_members: Vec<u32>,
     /// Covered-RR-set bitset of the IRR NRA loop.
     pub(crate) covered: Bitset,
-    /// Dense per-user selected flags (|V| bools).
-    pub(crate) selected: Vec<bool>,
+    /// The IRR NRA loop's seeds so far, ascending (membership is a
+    /// binary search; nothing per query is sized by `|V|`).
+    pub(crate) selected: Vec<NodeId>,
     /// Per-keyword NRA tables, one entry per query keyword (grown to the
     /// widest query seen).
     pub(crate) kw_bufs: Vec<KwBufs>,
@@ -151,17 +154,13 @@ pub struct QueryScratch {
     pub(crate) nra_fresh: Vec<NodeId>,
 }
 
-/// Shared pool of [`QueryScratch`] blocks plus recycled CSR/index
-/// arenas. One per opened index (and one per [`crate::MemoryIndex`]).
+/// Shared pool of [`QueryScratch`] blocks plus recycled per-keyword
+/// CSRs. One per opened index.
 #[derive(Default)]
 pub(crate) struct ScratchPool {
     scratch: Mutex<Vec<QueryScratch>>,
-    /// Spare per-keyword CSRs (the remapped/truncated lists each query
-    /// keyword produces).
+    /// Spare per-keyword CSRs (each query keyword's decoded `L_w`).
     csrs: Mutex<Vec<IlCsr>>,
-    /// Spare arena bundles for the merged `InvertedIndex`
-    /// (see `InvertedIndexBuilder::recycled`).
-    arenas: Mutex<Vec<Vec<Vec<u32>>>>,
 }
 
 impl ScratchPool {
@@ -194,21 +193,6 @@ impl ScratchPool {
     pub(crate) fn put_csr(&self, mut csr: IlCsr) {
         csr.reset();
         self.csrs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(csr);
-    }
-
-    /// Take a recycled arena bundle for `InvertedIndexBuilder::recycled`
-    /// (empty on a cold pool — the builder then allocates fresh).
-    pub(crate) fn take_arenas(&self) -> Vec<Vec<u32>> {
-        self.arenas
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Return a finished index's arenas for the next query.
-    pub(crate) fn put_arenas(&self, arenas: Vec<Vec<u32>>) {
-        self.arenas.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(arenas);
     }
 }
 
@@ -304,13 +288,5 @@ mod tests {
         // Catalog rows stay: decode_partition_meta_into overwrites them
         // in place so their ir_samples buffers are reused.
         assert_eq!(bufs.partitions.len(), 1);
-    }
-
-    #[test]
-    fn arena_bundles_round_trip() {
-        let pool = ScratchPool::new();
-        assert!(pool.take_arenas().is_empty(), "cold pool hands out nothing");
-        pool.put_arenas(vec![vec![1, 2, 3], vec![4]]);
-        assert_eq!(pool.take_arenas().len(), 2);
     }
 }

@@ -908,14 +908,7 @@ impl QueryEngine {
                 Some(merged) => Arc::clone(merged),
                 None => {
                     self.merged_groups.fetch_add(1, Ordering::Relaxed);
-                    // The union's |V| (base plus ingested users) sizes
-                    // the merged instance when a delta is pinned.
-                    let num_users = match &snap {
-                        Some(s) => s.meta().num_users,
-                        None => serving.meta().num_users,
-                    };
-                    match serving.merge_budgeted_over(num_users, group.phi_q, &group.budget, arena)
-                    {
+                    match serving.merge_budgeted(group.phi_q, &group.budget, arena) {
                         Ok(merged) => {
                             let merged = Arc::new(merged);
                             if let Some(cache) = &self.merge_cache {
@@ -949,18 +942,13 @@ impl QueryEngine {
                 Err(e) => {
                     let err = EngineError::from(e);
                     self.executed.fetch_add(group.members.len() as u64, Ordering::Relaxed);
-                    let out: Vec<(usize, EngineResult)> =
-                        group.members.iter().map(|&at| (at, Err(err.clone()))).collect();
-                    if let Ok(sole) = Arc::try_unwrap(merged) {
-                        serving.recycle_merged(sole);
-                    }
-                    return out;
+                    return group.members.iter().map(|&at| (at, Err(err.clone()))).collect();
                 }
             };
             if group.members.len() > 1 {
                 self.greedy_shared.fetch_add(group.members.len() as u64 - 1, Ordering::Relaxed);
             }
-            let out: Vec<(usize, EngineResult)> = group
+            group
                 .members
                 .iter()
                 .map(|&at| {
@@ -975,15 +963,7 @@ impl QueryEngine {
                     };
                     (at, result)
                 })
-                .collect();
-            // Sole owner (cache off, or the entry was already evicted
-            // and nobody else holds it) → the arenas recycle as before;
-            // otherwise the cache keeps the instance alive for the next
-            // hit and the Arc simply drops.
-            if let Ok(sole) = Arc::try_unwrap(merged) {
-                serving.recycle_merged(sole);
-            }
-            out
+                .collect()
         };
 
         let union_arena = if wants.is_empty() {
